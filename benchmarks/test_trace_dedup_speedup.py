@@ -3,13 +3,13 @@
 The acceptance bar for the trace subsystem: on the warm Table III matrix
 (all 8 algorithms, 3 framework personalities, original + VEBO orderings,
 every registered dataset) the trace-aware dedup sweep must be **>= 2.5x
-faster** than the PR 3 per-framework path (one execution per cell, no
+faster** than the serial ``run_sweep`` loop (one execution per cell, no
 trace store) — while producing bit-identical results.
 
 "Warm" is the steady state of a sweep campaign: datasets, orderings and
 the execution-trace store are all populated, so the dedup path executes
 *zero* algorithms (pure trace replay + pricing) while the per-framework
-path re-executes every one of the 384 cells.  Scale via
+baseline re-executes every one of the 384 cells.  Scale via
 ``REPRO_BENCH_DEDUP_SCALE`` (default 0.2).
 """
 
@@ -20,7 +20,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.experiments import expand_matrix, run_cells
+from repro import store
+from repro.experiments import expand_matrix, run_cells, run_sweep
 from repro.metrics import format_table
 
 from conftest import (
@@ -44,6 +45,16 @@ def cells_for(name):
     )
 
 
+def per_framework(name):
+    """The baseline: the serial run_sweep over the warm graph, executing
+    every cell once per framework (the graph load is timed, as it is
+    inside run_cells)."""
+    return run_sweep(
+        store.load_graph(name, scale=SCALE), ALGOS, FRAMEWORKS, ORDERINGS,
+        cache=True, **ALGO_KWARGS,
+    )
+
+
 @pytest.fixture(scope="module")
 def measurements():
     rows = {}
@@ -53,8 +64,8 @@ def measurements():
         # in-process layout memos) and populate the trace store; the
         # warm passes double as a full-matrix equivalence check.
         stats: dict = {}
-        dedup_results = run_cells(cells, dedup=True, stats=stats)
-        base_results = run_cells(cells, dedup=False)
+        dedup_results = run_cells(cells, stats=stats)
+        base_results = per_framework(name)
         assert len(dedup_results) == len(base_results) == len(cells)
         for a, b in zip(dedup_results, base_results):
             assert a.seconds == b.seconds, (name, a.algorithm, a.framework)
@@ -64,8 +75,8 @@ def measurements():
         # scheduler hiccup on the single baseline timing only *inflates*
         # the ratio; the dedup side, whose hiccups could spuriously fail
         # the bar, takes best-of-N.
-        t_base = timed_best(lambda: run_cells(cells, dedup=False), reps=1)
-        t_dedup = timed_best(lambda: run_cells(cells, dedup=True), reps=REPS)
+        t_base = timed_best(lambda: per_framework(name), reps=1)
+        t_dedup = timed_best(lambda: run_cells(cells), reps=REPS)
         rows[name] = (len(cells), t_base, t_dedup)
     return rows
 

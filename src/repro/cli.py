@@ -99,11 +99,10 @@ environment variables:
                         them eagerly; equivalent to --mmap
 
 Cached artifacts are content-addressed bundles under
-<cache root>/{graph,ordering,partition,edgeorder}/ — one directory per
-artifact holding a manifest plus one mmap-friendly .npy file per array
-(legacy single-file .npz bundles are still read transparently);
-`datasets clean` removes only entries the cache itself wrote (verified
-by an embedded marker), never foreign files.
+<cache root>/{graph,ordering,partition,edgeorder,trace}/ — one directory
+per artifact holding a manifest plus one mmap-friendly .npy file per
+array; `datasets clean` removes only entries the cache itself wrote
+(verified by the manifest's marker), never foreign files.
 """
 
 
@@ -336,12 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress", action="store_true",
         help="periodic progress heartbeat (cells done/total, executed vs "
         "replayed, cells/sec, ETA) even when stderr is not a TTY",
-    )
-    srun.add_argument(
-        "--no-dedup", action="store_true",
-        help="disable trace-aware scheduling: execute every cell "
-        "independently instead of once per (graph, ordering, algorithm) "
-        "identity (results are byte-identical either way)",
     )
     _add_sweep_out_flag(srun)
     _add_cache_flags(srun)
@@ -695,6 +688,25 @@ def _resolve_sweep_out(args, cache):
     )
 
 
+def _cell_progress(total: int, heartbeat=None):
+    """The per-cell ``progress`` callback of `sweep run`/`sweep reprice`:
+    logs one ``[n/total]`` line per cell and ticks ``heartbeat`` if given.
+    Returns the callback and its live ``done``/``skipped`` counts."""
+    counts = {"done": 0, "skipped": 0}
+
+    def progress(cell, result, skipped):
+        counts["skipped" if skipped else "done"] += 1
+        tag = "cached" if skipped else f"{result.seconds:.4g}s"
+        n = counts["done"] + counts["skipped"]
+        _log.info(f"[{n}/{total}] {cell.label()}: {tag}")
+        if heartbeat is not None:
+            # No status kwargs: run_cells maintains the executed/
+            # replayed/resumed counters the heartbeat renders from.
+            heartbeat.tick()
+
+    return progress, counts
+
+
 def _cmd_sweep_run(args) -> int:
     from repro.experiments import ResultsStore, run_cells
 
@@ -714,7 +726,6 @@ def _cmd_sweep_run(args) -> int:
     _log.info(f"sweep: {total} cell(s) -> {out}  (jobs={args.jobs})")
     if args.resume and existing:
         _log.info(f"resume: {existing} cell(s) already in the store")
-    counts = {"done": 0, "skipped": 0}
 
     # Periodic heartbeat for long sweeps, built on the obs metrics
     # registry (same counters `obs report` and flush_metrics see).  On by
@@ -725,16 +736,7 @@ def _cmd_sweep_run(args) -> int:
         heartbeat = obs.ProgressHeartbeat(
             total, emit=lambda line: print(line, file=sys.stderr, flush=True)
         )
-
-    def progress(cell, result, skipped):
-        counts["skipped" if skipped else "done"] += 1
-        tag = "cached" if skipped else f"{result.seconds:.4g}s"
-        n = counts["done"] + counts["skipped"]
-        _log.info(f"[{n}/{total}] {cell.label()}: {tag}")
-        if heartbeat is not None:
-            # No status kwargs: run_cells maintains the executed/
-            # replayed/resumed counters the heartbeat renders from.
-            heartbeat.tick()
+    progress, counts = _cell_progress(total, heartbeat)
 
     t0 = time.perf_counter()
     stats: dict = {}
@@ -744,7 +746,6 @@ def _cmd_sweep_run(args) -> int:
         store=store,
         resume=args.resume,
         cache=cache if cache is not None else False,
-        dedup=not args.no_dedup,
         progress=progress,
         stats=stats,
     )
@@ -754,9 +755,7 @@ def _cmd_sweep_run(args) -> int:
         f"sweep complete: {counts['done']} computed, {counts['skipped']} "
         f"resumed from store, {time.perf_counter() - t0:.3f}s"
     )
-    if stats.get("groups") and not args.no_dedup:
-        # --no-dedup never consults or writes the trace store, so the
-        # hit/miss fragment would be misleading there.
+    if stats.get("groups"):
         _log.info(
             f"dedup: {stats['computed']} cell(s) priced from "
             f"{stats['groups']} execution group(s) "
@@ -797,13 +796,7 @@ def _cmd_sweep_reprice(args) -> int:
         f"reprice: {total} cell(s) across {len(machines)} machine model(s) "
         f"({', '.join(machines)}) -> {out}  (jobs={args.jobs})"
     )
-    counts = {"done": 0, "skipped": 0}
-
-    def progress(cell, result, skipped):
-        counts["skipped" if skipped else "done"] += 1
-        tag = "cached" if skipped else f"{result.seconds:.4g}s"
-        n = counts["done"] + counts["skipped"]
-        _log.info(f"[{n}/{total}] {cell.label()}: {tag}")
+    progress, counts = _cell_progress(total)
 
     t0 = time.perf_counter()
     stats: dict = {}
@@ -813,7 +806,6 @@ def _cmd_sweep_reprice(args) -> int:
         store=store,
         resume=True,
         cache=cache,
-        dedup=True,
         replay_only=True,
         progress=progress,
         stats=stats,
@@ -1218,6 +1210,34 @@ def _cmd_obs_clean(args) -> int:
 _SUBCOMMANDS = ("reorder", "datasets", "sweep", "traces", "machines", "obs")
 
 
+def _flag_env(args) -> dict[str, str]:
+    """The environment variables this invocation's flags stand for.
+
+    The flags act through the environment (rather than in-process state)
+    so sweep pool workers inherit them.
+    """
+    env = {}
+    if getattr(args, "obs_on", False):
+        env[obs.OBS_ENV_VAR] = "1"
+    # --no-cache is the per-invocation form of REPRO_CACHE_OFF (the help
+    # text documents them as equivalent).  Exporting it keeps secondary
+    # consumers honest too: the measurement store and the obs sink, which
+    # would otherwise drop an event log under the default cache root the
+    # user just asked us not to write to.
+    no_cache = getattr(args, "no_cache", False)
+    if no_cache:
+        env["REPRO_CACHE_OFF"] = "1"
+    if getattr(args, "mmap_on", False):
+        env["REPRO_MMAP"] = "1"
+    # --cache-dir moves the whole on-disk footprint, event log included;
+    # without this the obs sink would keep writing under the env/default
+    # cache root the user just redirected away from.
+    cache_dir = getattr(args, "cache_dir", None)
+    if cache_dir and not no_cache:
+        env[obs.OBS_DIR_ENV_VAR] = os.path.join(cache_dir, "obs")
+    return env
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # Legacy shim: `vebo-reorder in.adj out.adj [-p N ...]` (no subcommand)
@@ -1230,39 +1250,14 @@ def main(argv: list[str] | None = None) -> int:
         verbose=getattr(args, "log_verbose", 0),
         quiet=getattr(args, "log_quiet", False),
     )
-    # --obs sets the environment variable (rather than some in-process
-    # flag) so sweep pool workers inherit the gate; restored afterwards
-    # so in-process callers (tests, notebooks) see no leak.
-    obs_env_set = False
-    if getattr(args, "obs_on", False) and not os.environ.get(obs.OBS_ENV_VAR):
-        os.environ[obs.OBS_ENV_VAR] = "1"
-        obs_env_set = True
-    # --no-cache is the per-invocation form of REPRO_CACHE_OFF (the help
-    # text documents them as equivalent).  Exporting it keeps secondary
-    # consumers honest too: sweep pool workers, the measurement store,
-    # and the obs sink — which would otherwise drop an event log under
-    # the default cache root the user just asked us not to write to.
-    cache_off_set = False
-    if getattr(args, "no_cache", False) and not os.environ.get("REPRO_CACHE_OFF"):
-        os.environ["REPRO_CACHE_OFF"] = "1"
-        cache_off_set = True
-    # --mmap likewise exports REPRO_MMAP so sweep pool workers inherit it.
-    mmap_env_set = False
-    if getattr(args, "mmap_on", False) and not os.environ.get("REPRO_MMAP"):
-        os.environ["REPRO_MMAP"] = "1"
-        mmap_env_set = True
-    # --cache-dir moves the whole on-disk footprint, event log included;
-    # without this the obs sink would keep writing under the env/default
-    # cache root the user just redirected away from.
-    obs_dir_set = False
-    cli_cache_dir = getattr(args, "cache_dir", None)
-    if (
-        cli_cache_dir
-        and not cache_off_set
-        and not os.environ.get(obs.OBS_DIR_ENV_VAR)
-    ):
-        os.environ[obs.OBS_DIR_ENV_VAR] = os.path.join(cli_cache_dir, "obs")
-        obs_dir_set = True
+    # Only variables the caller left unset are exported, and they are
+    # popped again afterwards so in-process callers (tests, notebooks)
+    # see no leak.
+    exported = {
+        var: value for var, value in _flag_env(args).items()
+        if not os.environ.get(var)
+    }
+    os.environ.update(exported)
     try:
         return _dispatch(args)
     except ReproError as exc:
@@ -1274,14 +1269,8 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return 0
     finally:
-        if obs_env_set:
-            os.environ.pop(obs.OBS_ENV_VAR, None)
-        if cache_off_set:
-            os.environ.pop("REPRO_CACHE_OFF", None)
-        if mmap_env_set:
-            os.environ.pop("REPRO_MMAP", None)
-        if obs_dir_set:
-            os.environ.pop(obs.OBS_DIR_ENV_VAR, None)
+        for var in exported:
+            os.environ.pop(var, None)
 
 
 def _dispatch(args) -> int:

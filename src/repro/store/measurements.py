@@ -15,7 +15,7 @@ time by :func:`repro.experiments.runner.execute`, so the (work, seconds)
 pairs a ``machines calibrate`` fit needs survive process exit and
 accumulate across runs.
 
-Unlike the five ``.npz`` kinds it is not content-addressed — measurements
+Unlike the five bundle kinds it is not content-addressed — measurements
 are observations, not deterministic functions of their inputs, so two
 runs of the same cell legitimately append two different samples.  Each
 line is self-contained::

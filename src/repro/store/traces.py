@@ -28,9 +28,10 @@ trace.
 
 Bundle layout
 -------------
-One ``.npz`` bundle per trace.  Repeated records (e.g. the identical
-dense steps of an iterative algorithm) are stored **once**: the bundle
-holds a table of unique records (deduplicated by
+One cache bundle (a sidecar directory, see :mod:`repro.store.cache`)
+per trace.  Repeated records (e.g. the identical dense steps of an
+iterative algorithm) are stored **once**: the bundle holds a table of
+unique records (deduplicated by
 :func:`~repro.frameworks.trace.record_fingerprint`, i.e. bitwise) plus a
 step -> record index, and unpacking re-shares the objects — so a replayed
 trace prices as fast as a live vectorized trace (pricing memoizes on

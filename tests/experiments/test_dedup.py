@@ -2,13 +2,14 @@
 
 The acceptance bar: trace-aware scheduling (group by execution identity,
 execute once, price per framework, replay from the persistent trace
-store) is **observationally invisible** — the dedup sweep's persisted
-``ResultsStore`` contents are byte-identical to the historical
-one-execution-per-cell path over the full 8-graph x 8-algorithm x
-3-framework x 2-ordering matrix, serially and under ``--jobs 4``, across
-a mid-sweep kill — while an execution-count spy proves the semantic work
-actually collapses: one execution per (graph, ordering, algorithm)
-identity cold, *zero* executions over a warm trace store.
+store) is **observationally invisible** — the sweep's persisted result
+payloads are byte-identical to the serial ``run_sweep`` baseline (one
+execution per cell, no trace store) over the full 8-graph x 8-algorithm
+x 3-framework x 2-ordering matrix, serially and under ``--jobs 4``, and
+a sweep killed mid-flight resumes to an uninterrupted sweep's contents
+— while an execution-count spy proves the semantic work actually
+collapses: one execution per (graph, ordering, algorithm) identity cold,
+*zero* executions over a warm trace store.
 """
 
 import json
@@ -24,7 +25,7 @@ import pytest
 
 from repro import store as repro_store
 from repro.cli import main as cli_main
-from repro.experiments import ResultsStore, expand_matrix, group_cells, run_cells
+from repro.experiments import expand_matrix, group_cells, run_cells, run_sweep
 from repro.experiments import runner as runner_mod
 from repro.store import ArtifactCache
 
@@ -68,10 +69,11 @@ def matrix_run(tmp_path_factory):
     """One full-matrix campaign shared by the equivalence tests.
 
     Runs the complete 8x8x3x2 matrix four ways against one shared
-    artifact cache — (A) non-dedup serial, (B) dedup serial with a cold
-    trace store, (C) dedup jobs=4 over the now-warm trace store, (D)
-    dedup serial warm — each into its own results store, with an
-    execution spy active on the in-process runs.
+    artifact cache — (A) the serial ``run_sweep`` baseline per dataset,
+    (B) dedup serial with a cold trace store, (C) dedup jobs=4 over the
+    now-warm trace store, (D) dedup serial warm — the sweeps each into
+    their own results store, with an execution spy active on the
+    in-process runs.
     """
     base = tmp_path_factory.mktemp("dedup-matrix")
     cache = ArtifactCache(base / "cache")
@@ -86,11 +88,26 @@ def matrix_run(tmp_path_factory):
     spy = ExecutionSpy().install()
     runs: dict[str, dict] = {}
     try:
+        # expand_matrix orders cells per dataset exactly as run_sweep
+        # loops, so the concatenated results line up with ``cells``.
+        results = []
+        for dataset in datasets:
+            graph = repro_store.load_graph(dataset, cache=cache, scale=SCALE)
+            results += run_sweep(
+                graph, ALGOS, FRAMEWORKS, ORDERINGS, cache=cache, **ALGO_KWARGS
+            )
+        runs["serial"] = {
+            "payloads": {
+                cell.key(): canonical(result.to_dict())
+                for cell, result in zip(cells, results)
+            },
+            "results": results,
+            "counts": dict(spy.counts),
+        }
         for name, kwargs in (
-            ("nodedup", dict(jobs=1, dedup=False)),
-            ("dedup_cold", dict(jobs=1, dedup=True)),
-            ("dedup_jobs4", dict(jobs=4, dedup=True)),
-            ("dedup_warm", dict(jobs=1, dedup=True)),
+            ("dedup_cold", dict(jobs=1)),
+            ("dedup_jobs4", dict(jobs=4)),
+            ("dedup_warm", dict(jobs=1)),
         ):
             spy.reset()
             out = base / f"{name}.jsonl"
@@ -109,37 +126,40 @@ def matrix_run(tmp_path_factory):
     return {"cells": cells, "cache": cache, "runs": runs}
 
 
+def canonical(result_dict: dict) -> str:
+    """The byte-exact JSON encoding the results store persists."""
+    return json.dumps(result_dict, sort_keys=True, separators=(",", ":"))
+
+
 def result_payloads(path) -> dict[str, str]:
     """key -> canonical JSON of the persisted result, byte-exact."""
     payloads = {}
     for line in Path(path).read_text().splitlines():
         obj = json.loads(line)
-        payloads[obj["key"]] = json.dumps(
-            obj["result"], sort_keys=True, separators=(",", ":")
-        )
+        payloads[obj["key"]] = canonical(obj["result"])
     return payloads
 
 
 class TestDifferentialEquivalence:
     def test_cold_dedup_store_byte_identical_to_per_framework_path(self, matrix_run):
-        """The headline: the dedup sweep's ResultsStore is byte-for-byte
-        the per-framework path's store (same lines, order-independent —
-        grouping reorders completion, not content)."""
-        a = sorted(Path(matrix_run["runs"]["nodedup"]["out"]).read_text().splitlines())
-        b = sorted(Path(matrix_run["runs"]["dedup_cold"]["out"]).read_text().splitlines())
-        assert a == b
+        """The headline: every result payload the cold dedup sweep
+        persists is byte-for-byte what the serial run_sweep — which
+        executes once per framework — computes for that cell."""
+        base = matrix_run["runs"]["serial"]["payloads"]
+        assert result_payloads(matrix_run["runs"]["dedup_cold"]["out"]) == base
 
     def test_parallel_warm_dedup_results_byte_identical(self, matrix_run):
-        """jobs=4 over a warm trace store: every persisted result payload
-        is byte-identical to the per-framework path's (the meta channel
-        differs only in the trace_replayed provenance flag)."""
-        base = result_payloads(matrix_run["runs"]["nodedup"]["out"])
+        """jobs=4 and serial over a warm trace store: every persisted
+        result payload is byte-identical to the serial baseline's (the
+        meta channel differs only in the trace_replayed provenance
+        flag)."""
+        base = matrix_run["runs"]["serial"]["payloads"]
         for name in ("dedup_jobs4", "dedup_warm"):
             other = result_payloads(matrix_run["runs"][name]["out"])
             assert other == base
 
     def test_returned_results_identical_across_all_paths(self, matrix_run):
-        base = matrix_run["runs"]["nodedup"]["results"]
+        base = matrix_run["runs"]["serial"]["results"]
         for name in ("dedup_cold", "dedup_jobs4", "dedup_warm"):
             results = matrix_run["runs"][name]["results"]
             assert len(results) == len(base)
@@ -157,14 +177,14 @@ class TestDifferentialEquivalence:
     def test_spy_cold_dedup_executes_each_identity_exactly_once(self, matrix_run):
         """128 execution identities (8 graphs x 2 orderings x 8
         algorithms) -> exactly 128 executions, one per identity; the
-        per-framework path runs every one of them three times."""
+        serial baseline runs every one of them three times."""
         cold = matrix_run["runs"]["dedup_cold"]["counts"]
         assert sum(cold.values()) == 8 * 2 * 8
         assert set(cold.values()) == {1}
-        nodedup = matrix_run["runs"]["nodedup"]["counts"]
-        assert sum(nodedup.values()) == 8 * 2 * 8 * 3
-        assert set(nodedup.values()) == {3}
-        assert set(nodedup) == set(cold)
+        serial = matrix_run["runs"]["serial"]["counts"]
+        assert sum(serial.values()) == 8 * 2 * 8 * 3
+        assert set(serial.values()) == {3}
+        assert set(serial) == set(cold)
 
     def test_spy_warm_sweep_executes_nothing(self, matrix_run):
         """A re-sweep over a warm trace store is pure pricing: zero
@@ -183,8 +203,6 @@ class TestDifferentialEquivalence:
         }
         jobs4 = matrix_run["runs"]["dedup_jobs4"]["stats"]
         assert jobs4["replayed"] == 128 and jobs4["executed"] == 0
-        nodedup = matrix_run["runs"]["nodedup"]["stats"]
-        assert nodedup["groups"] == 384  # one "group" per cell
 
     def test_group_cells_identity(self, matrix_run):
         groups = group_cells(matrix_run["cells"])
@@ -197,7 +215,7 @@ class TestDifferentialEquivalence:
 
 class TestResumeAcrossKill:
     """Kill a dedup sweep mid-flight, resume it, and prove the completed
-    store holds exactly the per-framework path's contents."""
+    store holds exactly an uninterrupted sweep's contents."""
 
     MATRIX = [
         "--graphs", "twitter", "--algorithms", ",".join(ALGOS),
@@ -236,7 +254,7 @@ class TestResumeAcrossKill:
         argv, env = self._cli(
             tmp_path, "run", "--graphs", "twitter", "--algorithms", "BFS",
             "--frameworks", "ligra", "--orderings", ",".join(ORDERINGS),
-            "--scale", str(SCALE), "--no-dedup", "--jobs", "1",
+            "--scale", str(SCALE), "--jobs", "1",
             "--out", str(warm),
         )
         assert subprocess.run(argv, env=env, capture_output=True).returncode == 0
@@ -271,12 +289,11 @@ class TestResumeAcrossKill:
         assert len(after) == len(set(after)) == self.TOTAL
         assert set(before) <= set(after)
 
-        # the resumed store's results == the per-framework path's, byte
+        # the resumed store's results == an uninterrupted sweep's, byte
         # for byte (same shared cache, so ordering_seconds replay too)
-        ref = tmp_path / "nodedup.jsonl"
+        ref = tmp_path / "uninterrupted.jsonl"
         argv, env = self._cli(
-            tmp_path, "run", *self.MATRIX, "--jobs", "1",
-            "--out", str(ref), "--no-dedup",
+            tmp_path, "run", *self.MATRIX, "--jobs", "1", "--out", str(ref)
         )
         assert subprocess.run(argv, env=env, capture_output=True).returncode == 0
         assert result_payloads(out) == result_payloads(ref)
@@ -355,23 +372,6 @@ class TestDedupCLIReporting:
         report = capsys.readouterr().out
         assert "sweep group" not in report  # homogeneous identity, one group
         assert "geomean vebo speedup over original" in report
-
-    def test_no_dedup_flag_disables_grouping(self, cache_env, capsys):
-        out = cache_env / "nodedup.jsonl"
-        assert cli_main(
-            ["sweep", "run", *self.ARGS, "--out", str(out), "--no-dedup"]
-        ) == 0
-        run_out = capsys.readouterr().out
-        # the per-cell path never consults the trace store; the summary
-        # must not imply hits or misses were taken
-        assert "sweep complete: 12 computed" in run_out
-        assert "trace store:" not in run_out
-        assert cli_main(["sweep", "status", *self.ARGS, "--out", str(out)]) == 0
-        status_out = capsys.readouterr().out
-        # the matrix still *could* dedup 3:1; the store records that the
-        # cells were executed fresh
-        assert "dedup: 12 cell(s) in 4 execution group(s)" in status_out
-        assert "12 miss(es) (executed fresh)" in status_out
 
 
 class TestTracesCLI:

