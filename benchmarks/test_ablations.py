@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import bfs
-from repro.experiments.runner import prepare, _measure_locality
+from repro.experiments.runner import prepare, measure_locality
 from repro.graph import generators as gen
 from repro.ordering.vebo import vebo_assignment, vebo_order
 
@@ -55,8 +55,8 @@ def test_ablation_locality_blocks(benchmark):
         rounds=1, iterations=1,
     )
     prep_block = prepare(g, "vebo", 384, locality_blocks=True)
-    plain = _measure_locality(prep_plain.graph, "csc")
-    block = _measure_locality(prep_block.graph, "csc")
+    plain = measure_locality(prep_plain.graph, "csc")
+    block = measure_locality(prep_block.graph, "csc")
 
     print_header("Ablation: Section III-D locality blocks")
     print(f"plain phase 3: src_miss={plain[0]:.3f}  blocks: src_miss={block[0]:.3f}")

@@ -10,7 +10,7 @@ unique destination vertices.
 import numpy as np
 import pytest
 
-from repro.experiments.runner import prepare, _measure_locality
+from repro.experiments.runner import prepare, measure_locality
 from repro.frameworks.personality import GRAPHGRIND
 from repro.machine.cost import DEFAULT_COST_MODEL, PartitionWork
 from repro.partition.algorithm1 import chunk_boundaries
@@ -28,7 +28,7 @@ def partition_times(graph, ordering: str):
         g.in_degrees(), P
     )
     stats = compute_stats(g, b)
-    loc = _measure_locality(g, "csc")
+    loc = measure_locality(g, "csc")
     work = PartitionWork.from_stats(stats, src_miss=loc[0], dst_miss=loc[1])
     times = DEFAULT_COST_MODEL.partition_seconds(work, remote_fraction=0.15)
     return stats, times

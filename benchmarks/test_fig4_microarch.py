@@ -11,7 +11,7 @@ because consecutive vertices share their degree after VEBO.
 import numpy as np
 import pytest
 
-from repro.experiments.runner import prepare, _measure_locality
+from repro.experiments.runner import prepare, measure_locality
 from repro.machine.branch import simulate_degree_loop
 from repro.machine.cache import CacheSimulator, CacheConfig, TLB_CONFIG
 from repro.machine.counters import InstructionModel, ThreadCounters, mpki_table
@@ -34,7 +34,7 @@ def thread_counters(graph, ordering: str) -> tuple[list, np.ndarray]:
         g.in_degrees(), P
     )
     stats = compute_stats(g, b)
-    loc = _measure_locality(g, "csc")
+    loc = measure_locality(g, "csc")
     work = PartitionWork.from_stats(stats, src_miss=loc[0], dst_miss=loc[1])
     times = DEFAULT_COST_MODEL.partition_seconds(work, remote_fraction=0.15)
 

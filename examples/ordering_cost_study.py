@@ -15,7 +15,7 @@ all of it on one graph:
 from repro.edgeorder import order_edges
 from repro.experiments import run
 from repro import store
-from repro.experiments.runner import prepare, _measure_locality
+from repro.experiments.runner import prepare, measure_locality
 from repro.metrics import format_table
 from repro.partition.algorithm1 import chunk_boundaries
 from repro.partition.stats import compute_stats
@@ -38,7 +38,7 @@ def main() -> None:
             else chunk_boundaries(g.in_degrees(), P)
         )
         stats = compute_stats(g, b)
-        src_miss, _ = _measure_locality(g, "csc")
+        src_miss, _ = measure_locality(g, "csc")
         pr = run(graph, "PR", "graphgrind", ordering=name, prepared=prep,
                  num_iterations=10)
         rows.append(

@@ -6,8 +6,10 @@ partitioning -> graph processing, then pricing under a framework
 personality.  The runner also applies the per-framework configuration rules
 of Sections IV and V-G:
 
-* partition counts: Ligra 384 (implicit Cilk range chunks), Polymer 4
-  (one per socket), GraphGrind 384;
+* every framework prices at the same 384 accounting chunks (Ligra's
+  implicit Cilk range chunks, GraphGrind's partitions); Polymer's four
+  per-socket partitions live in its ``static-hier`` scheduler, which binds
+  the chunks to sockets;
 * GraphGrind's dense COO edge order: Hilbert for Original/RCM/Gorder,
   CSR order for VEBO (the Section V-G finding);
 * VEBO configurations partition at VEBO's own boundaries; all other
@@ -19,7 +21,6 @@ Results carry both the estimate and enough metadata to build every table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
     "PreparedGraph",
     "TraceExecution",
     "execute",
+    "measure_locality",
     "prepare",
     "price",
     "run",
@@ -60,6 +62,7 @@ class PreparedGraph:
     orig_ids: np.ndarray          # new id -> original id
     boundaries: np.ndarray | None  # VEBO's exact boundaries, else None
     ordering_seconds: float
+    #: edge order -> (src, dst) miss pair, filled by :func:`price`.
     locality: dict[str, tuple[float, float]] = field(default_factory=dict)
 
 
@@ -170,19 +173,11 @@ def _locality_window(num_vertices: int) -> int:
     return int(min(4096, max(64, num_vertices // 12)))
 
 
-#: base graph -> {(ordering, edge_order, perm digest) -> (src, dst) miss
-#: pair}.  The measurement is a deterministic function of the reordered
-#: layout and the traversal order, and repeated sweeps over one loaded
-#: graph re-derive the same layouts; the permutation is identified by its
-#: SHA-256 (the store's content-hash convention — constant-size keys even
-#: for full-scale graphs), and the weak outer key lets the memo die with
-#: the graph.
-_LOCALITY_MEMO: "WeakKeyDictionary[Graph, dict]" = WeakKeyDictionary()
-
-
-def _measure_locality(graph: Graph, edge_order: str, sample: int = 200_000) -> tuple[float, float]:
+def measure_locality(graph: Graph, edge_order: str, sample: int = 200_000) -> tuple[float, float]:
     """Miss fractions of the (src, dst) streams under the edge order the
-    framework actually traverses."""
+    framework actually traverses — the one locality pair every
+    personality prices from.  Streams longer than ``sample`` edges are
+    measured on a contiguous middle window."""
     if edge_order == "hilbert":
         coo = hilbert_order_edges(COOEdges.from_graph(graph, order="csr"))
         srcs, dsts = coo.src, coo.dst
@@ -420,38 +415,29 @@ def price(
     graph: Graph,
     framework: str | FrameworkModel,
     prepared: PreparedGraph,
-    locality: tuple[float, float] | None = None,
     machine: str | MachineModel | None = None,
 ) -> ExperimentResult:
     """Price one execution under one framework personality on one machine.
 
-    Pricing is a pure function of (trace, layout, locality, machine), so
-    any number of (framework, machine) pairs can price the same
+    The locality pair comes from :func:`measure_locality` over the edge
+    order the framework traverses on ``prepared``'s layout, measured once
+    per edge order and memoized on ``prepared.locality``.  Pricing is a
+    pure function of (trace, locality, personality, machine), so any
+    number of (framework, machine) pairs can price the same
     :class:`TraceExecution` — fresh or replayed — and produce exactly what
-    a dedicated end-to-end :func:`run` would have.  ``machine`` is a
-    registry name or :class:`~repro.machine.models.MachineModel`; ``None``
-    is the paper machine, which prices byte-identically to the
-    pre-machine-layer code path.
+    a dedicated end-to-end :func:`run` would have.  ``graph`` is the
+    base graph and only names the result.  ``machine`` is a registry name
+    or :class:`~repro.machine.models.MachineModel`; ``None`` is the paper
+    machine, which prices byte-identically to the pre-machine-layer code
+    path.
     """
     fw = FRAMEWORKS[framework] if isinstance(framework, str) else framework
     machine_model = resolve_machine(machine)
-    g = prepared.graph
-    if locality is None:
-        edge_order = _edge_order_for(fw.name, prepared.ordering)
-        key = edge_order
-        if key not in prepared.locality:
-            import hashlib
-
-            memo = _LOCALITY_MEMO.setdefault(graph, {})
-            perm_digest = hashlib.sha256(prepared.perm.tobytes()).digest()
-            mkey = (prepared.ordering, edge_order, perm_digest)
-            pair = memo.get(mkey)
-            if pair is None:
-                pair = _measure_locality(g, edge_order)
-                memo[mkey] = pair
-            prepared.locality[key] = pair
-        locality = prepared.locality[key]
-    estimate = fw.on_machine(machine_model).price(execution.trace, g, locality=locality)
+    edge_order = _edge_order_for(fw.name, prepared.ordering)
+    if edge_order not in prepared.locality:
+        prepared.locality[edge_order] = measure_locality(prepared.graph, edge_order)
+    locality = prepared.locality[edge_order]
+    estimate = fw.on_machine(machine_model).price(execution.trace, locality)
     return ExperimentResult(
         graph=graph.name,
         algorithm=execution.trace.algorithm,
@@ -472,7 +458,6 @@ def run(
     framework: str | FrameworkModel,
     ordering: str = "original",
     prepared: PreparedGraph | None = None,
-    locality: tuple[float, float] | None = None,
     cache: object = False,
     traces: object = False,
     backend: str | None = None,
@@ -502,7 +487,7 @@ def run(
         graph, algorithm, prepared=prepared, num_partitions=p,
         traces=traces, backend=backend, **algo_kwargs,
     )
-    return price(execution, graph, fw, prepared, locality=locality, machine=machine)
+    return price(execution, graph, fw, prepared, machine=machine)
 
 
 def run_sweep(

@@ -1,8 +1,9 @@
 """Framework personalities: Ligra, Polymer and GraphGrind as pricing models.
 
 Section IV reduces the three C++ systems to a handful of design axes —
-scheduling policy, partition count, NUMA awareness and locality
-optimization.  A :class:`FrameworkModel` encodes those axes and converts an
+scheduling policy (which carries each system's partition-to-socket
+binding), NUMA awareness and locality optimization.  A
+:class:`FrameworkModel` encodes those axes and converts an
 algorithm's :class:`~repro.frameworks.trace.WorkTrace` into seconds using
 the machine model:
 
@@ -30,9 +31,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.frameworks.trace import WorkTrace
-from repro.graph.csr import Graph
 from repro.machine.cost import CostModel, DEFAULT_COST_MODEL, PartitionWork
-from repro.machine.locality import measure_stream
 from repro.machine.numa import NUMATopology, PAPER_MACHINE
 from repro.machine.schedule import (
     cilk_recursive_schedule,
@@ -50,7 +49,6 @@ __all__ = [
     "POLYMER",
     "GRAPHGRIND",
     "FRAMEWORKS",
-    "measure_layout_locality",
 ]
 
 
@@ -107,26 +105,22 @@ class RuntimeEstimate:
             raise SimulationError(f"malformed RuntimeEstimate payload: {exc}") from exc
 
 
-def measure_layout_locality(graph: Graph, sample_edges: int = 200_000) -> tuple[float, float]:
-    """Measure (source-stream, destination-stream) miss fractions of the
-    graph's CSC traversal order.
+#: Share of misses that go remote for a system that interleaves its
+#: unpartitioned arrays across sockets (no NUMA awareness).
+INTERLEAVED_REMOTE_FRACTION = 0.75
 
-    The CSC sweep reads ``value[src]`` for every in-edge and writes
-    ``accum[dst]``; the miss fractions of those two streams are the
-    locality signal the cost model consumes.  Streams longer than
-    ``sample_edges`` are sampled by a contiguous window to bound cost.
-    """
-    csc = graph.csc
-    srcs = csc.adj
-    n = graph.num_vertices
-    dsts = np.repeat(np.arange(n, dtype=np.int64), csc.degrees())
-    if srcs.size > sample_edges:
-        start = (srcs.size - sample_edges) // 2
-        srcs = srcs[start : start + sample_edges]
-        dsts = dsts[start : start + sample_edges]
-    src_loc = measure_stream(srcs)
-    dst_loc = measure_stream(dsts)
-    return src_loc.miss_fraction(), dst_loc.miss_fraction()
+#: Seconds the Cilk scheduler charges per stolen leaf beyond the first.
+STEAL_OVERHEAD = 2.0e-7
+
+# Measured miss fractions are blended toward a floor before pricing:
+# eff = MISS_FLOOR + MISS_SCALE * measured.  The paper's graphs exceed
+# the LLC by two orders of magnitude, so *every* layout misses heavily
+# and layout differences move the miss rate by tens of percent, not
+# 10x; the blend reproduces that compression at laptop scale, keeping
+# load balance (not locality) the first-order effect for statically
+# scheduled systems — the paper's central claim.
+MISS_FLOOR = 0.35
+MISS_SCALE = 0.5
 
 
 @dataclass(frozen=True)
@@ -136,22 +130,10 @@ class FrameworkModel:
     name: str
     scheduler: str           # "cilk" | "static" | "static-hier" | "numa-hier" | "dynamic"
     default_partitions: int  # accounting-chunk count fed to the trace
-    numa_partitions: int     # partitions the real system materializes
     numa_aware: bool                  # partition data homed on sockets?
     locality_optimized: bool          # system exploits COO/Hilbert locality
     topology: NUMATopology = PAPER_MACHINE
     cost_model: CostModel = DEFAULT_COST_MODEL
-    interleaved_remote_fraction: float = 0.75  # non-NUMA-aware remote share
-    steal_overhead: float = 2.0e-7
-    # Measured miss fractions are blended toward a floor before pricing:
-    # eff = miss_floor + miss_scale * measured.  The paper's graphs exceed
-    # the LLC by two orders of magnitude, so *every* layout misses heavily
-    # and layout differences move the miss rate by tens of percent, not
-    # 10x; the blend reproduces that compression at laptop scale, keeping
-    # load balance (not locality) the first-order effect for statically
-    # scheduled systems — the paper's central claim.
-    miss_floor: float = 0.35
-    miss_scale: float = 0.5
 
     def __post_init__(self) -> None:
         if self.scheduler not in ("cilk", "static", "static-hier", "numa-hier", "dynamic"):
@@ -183,22 +165,15 @@ class FrameworkModel:
         return replace(self, topology=topology, cost_model=cost_model)
 
     # ------------------------------------------------------------------
-    def price(
-        self,
-        trace: WorkTrace,
-        graph: Graph,
-        locality: tuple[float, float] | None = None,
-    ) -> RuntimeEstimate:
+    def price(self, trace: WorkTrace, locality: tuple[float, float]) -> RuntimeEstimate:
         """Convert a work trace into seconds.
 
-        ``locality`` is the (src, dst) miss-fraction pair; measured from
-        the graph layout when omitted.  Passing it explicitly lets sweeps
-        measure once per (graph, ordering) and price many algorithms.
+        ``locality`` is the layout's (src, dst) miss-fraction pair, as
+        :func:`repro.experiments.runner.measure_locality` measures it for
+        the edge order this framework traverses.
         """
-        if locality is None:
-            locality = measure_layout_locality(graph)
-        src_miss = min(1.0, self.miss_floor + self.miss_scale * locality[0])
-        dst_miss = min(1.0, self.miss_floor + self.miss_scale * locality[1])
+        src_miss = min(1.0, MISS_FLOOR + MISS_SCALE * locality[0])
+        dst_miss = min(1.0, MISS_FLOOR + MISS_SCALE * locality[1])
         if not self.locality_optimized:
             # Ligra's COO/edge traversal does not reorder edges for reuse;
             # model as a higher effective miss fraction on the same layout.
@@ -233,8 +208,8 @@ class FrameworkModel:
                 if rec.src_miss >= 0.0 and not (
                     self.locality_optimized and rec.density.value == "dense"
                 ):
-                    rec_src = min(1.0, self.miss_floor + self.miss_scale * rec.src_miss)
-                    rec_dst = min(1.0, self.miss_floor + self.miss_scale * rec.dst_miss)
+                    rec_src = min(1.0, MISS_FLOOR + MISS_SCALE * rec.src_miss)
+                    rec_dst = min(1.0, MISS_FLOOR + MISS_SCALE * rec.dst_miss)
                 per_iter[i] = self._price_edgemap(rec, rec_src, rec_dst, homes)
             memo[id(rec)] = per_iter[i]
         return RuntimeEstimate(
@@ -251,8 +226,8 @@ class FrameworkModel:
     def partition_costs(
         self, rec, src_miss: float, dst_miss: float, homes: np.ndarray
     ) -> np.ndarray:
-        """Per-partition seconds for one edgemap record (the Figure 1/4/6
-        per-partition series)."""
+        """Per-partition seconds for one edgemap record, before the
+        scheduler turns them into the iteration's makespan."""
         remote = self._remote_fraction(homes)
         work = PartitionWork(
             edges=rec.part_edges.astype(np.float64),
@@ -269,7 +244,7 @@ class FrameworkModel:
             # Partition processed by its home socket: remote only via
             # sources living in other partitions; charge a small constant.
             return np.full(homes.size, 0.15)
-        return np.full(homes.size, self.interleaved_remote_fraction)
+        return np.full(homes.size, INTERLEAVED_REMOTE_FRACTION)
 
     def _price_edgemap(
         self, rec, src_miss: float, dst_miss: float, homes: np.ndarray
@@ -294,7 +269,7 @@ class FrameworkModel:
             deviation = np.abs(counts - mean).sum() / (2.0 * total)
             remote = 0.05 + 0.9 * deviation
         else:
-            remote = self.interleaved_remote_fraction
+            remote = INTERLEAVED_REMOTE_FRACTION
         costs = self.cost_model.vertexmap_seconds(
             rec.part_vertices.astype(np.float64), remote_fraction=remote
         )
@@ -308,7 +283,7 @@ class FrameworkModel:
             return greedy_dynamic_schedule(costs, topo.num_threads).makespan
         if self.scheduler == "cilk":
             return cilk_recursive_schedule(
-                costs, topo.num_threads, steal_overhead=self.steal_overhead
+                costs, topo.num_threads, steal_overhead=STEAL_OVERHEAD
             ).makespan
         if self.scheduler == "static-hier":
             return static_numa_schedule(
@@ -332,7 +307,6 @@ LIGRA = FrameworkModel(
     name="ligra",
     scheduler="cilk",
     default_partitions=ACCOUNTING_CHUNKS,
-    numa_partitions=1,
     numa_aware=False,
     locality_optimized=False,
 )
@@ -343,7 +317,6 @@ POLYMER = FrameworkModel(
     name="polymer",
     scheduler="static-hier",
     default_partitions=ACCOUNTING_CHUNKS,
-    numa_partitions=4,
     numa_aware=True,
     locality_optimized=True,
 )
@@ -354,7 +327,6 @@ GRAPHGRIND = FrameworkModel(
     name="graphgrind",
     scheduler="numa-hier",
     default_partitions=ACCOUNTING_CHUNKS,
-    numa_partitions=384,
     numa_aware=True,
     locality_optimized=True,
 )

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.experiments import prepare, run, run_sweep
+from repro.experiments import execute, prepare, price, run, run_sweep
+from repro.experiments import runner
+from repro.frameworks.personality import FRAMEWORKS
 from repro.graph import generators as gen
 from repro.graph.io import write_adjacency_graph, read_adjacency_graph
 
@@ -82,6 +84,53 @@ class TestSweep:
         by = {(r.framework, r.ordering): r.seconds for r in res}
         for fw in ("polymer", "graphgrind"):
             assert by[(fw, "vebo")] < 2.0 * by[(fw, "original")]
+
+
+class TestOnePricingPath:
+    #: The edge order each framework traverses (Section V-G).
+    EDGE_ORDER = {
+        ("ligra", "original"): "csc", ("ligra", "vebo"): "csc",
+        ("polymer", "original"): "csc", ("polymer", "vebo"): "csc",
+        ("graphgrind", "original"): "hilbert", ("graphgrind", "vebo"): "csr",
+    }
+
+    def test_personality_prices_like_runner(self, g):
+        """A personality given the runner's locality pair prices a trace
+        exactly as :func:`runner.price` does — one locality definition."""
+        for ordering in ("original", "vebo"):
+            prep = prepare(g, ordering, 384)
+            execution = execute(g, "PR", prepared=prep, num_iterations=2)
+            for name, fw in FRAMEWORKS.items():
+                locality = runner.measure_locality(
+                    prep.graph, self.EDGE_ORDER[(name, ordering)]
+                )
+                direct = fw.price(execution.trace, locality)
+                via_runner = price(execution, g, name, prep).estimate
+                assert direct.to_dict() == via_runner.to_dict(), (name, ordering)
+
+    def test_locality_measured_once_per_layout(self, tmp_path, monkeypatch):
+        """Two orderings x three frameworks x two machines touch four
+        layouts (csc and hilbert/csr per ordering); each is measured once,
+        two streams apiece, however many cells price it."""
+        from repro.experiments import expand_matrix, run_cells
+        from repro.store import ArtifactCache
+
+        calls = []
+        measure = runner.measure_stream
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return measure(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "measure_stream", spy)
+        cells = expand_matrix(
+            ["twitter"], ["PR"], list(FRAMEWORKS), ["original", "vebo"],
+            params={"scale": 0.05}, algo_kwargs={"PR": {"num_iterations": 2}},
+            machines=("paper-xeon", "laptop"),
+        )
+        assert len(cells) == 12
+        run_cells(cells, jobs=1, cache=ArtifactCache(tmp_path / "cache"))
+        assert len(calls) == 8
 
 
 class TestCLI:

@@ -12,8 +12,8 @@ from repro.frameworks.personality import (
     GRAPHGRIND,
     LIGRA,
     POLYMER,
-    measure_layout_locality,
 )
+from repro.experiments.runner import measure_locality
 from repro.graph import generators as gen
 
 
@@ -27,6 +27,11 @@ def social():
 
 
 @pytest.fixture(scope="module")
+def loc(social):
+    return measure_locality(social, "csc")
+
+
+@pytest.fixture(scope="module")
 def pr_trace(social):
     return pagerank(social, num_iterations=3, num_partitions=48).trace
 
@@ -37,48 +42,51 @@ class TestPersonalityConfig:
 
     def test_paper_configuration(self):
         assert LIGRA.scheduler == "cilk" and not LIGRA.numa_aware
-        assert POLYMER.scheduler == "static-hier" and POLYMER.numa_partitions == 4
+        assert POLYMER.scheduler == "static-hier" and POLYMER.numa_aware
         assert GRAPHGRIND.scheduler == "numa-hier"
-        assert GRAPHGRIND.numa_partitions == ACCOUNTING_CHUNKS == 384
+        assert all(
+            fw.default_partitions == ACCOUNTING_CHUNKS == 384
+            for fw in FRAMEWORKS.values()
+        )
 
     def test_invalid_scheduler_rejected(self):
         with pytest.raises(SimulationError):
             FrameworkModel(
                 name="x", scheduler="quantum", default_partitions=4,
-                numa_partitions=1, numa_aware=False, locality_optimized=False,
+                numa_aware=False, locality_optimized=False,
             )
 
 
 class TestPricing:
-    def test_price_positive_and_decomposed(self, social, pr_trace):
-        est = GRAPHGRIND.price(pr_trace, social)
+    def test_price_positive_and_decomposed(self, pr_trace, loc):
+        est = GRAPHGRIND.price(pr_trace, loc)
         assert est.seconds > 0
         assert est.per_iteration.shape == (len(pr_trace.records),)
         assert est.seconds == pytest.approx(est.per_iteration.sum())
 
-    def test_pricing_deterministic(self, social, pr_trace):
-        a = GRAPHGRIND.price(pr_trace, social)
-        b = GRAPHGRIND.price(pr_trace, social)
+    def test_pricing_deterministic(self, pr_trace, loc):
+        a = GRAPHGRIND.price(pr_trace, loc)
+        b = GRAPHGRIND.price(pr_trace, loc)
         assert a.seconds == b.seconds
 
-    def test_explicit_locality_used(self, social, pr_trace):
-        cheap = GRAPHGRIND.price(pr_trace, social, locality=(0.0, 0.0))
-        costly = GRAPHGRIND.price(pr_trace, social, locality=(1.0, 1.0))
+    def test_explicit_locality_used(self, pr_trace):
+        cheap = GRAPHGRIND.price(pr_trace, (0.0, 0.0))
+        costly = GRAPHGRIND.price(pr_trace, (1.0, 1.0))
         assert costly.seconds > cheap.seconds
 
-    def test_non_numa_system_pays_remote(self, social, pr_trace):
+    def test_non_numa_system_pays_remote(self, pr_trace):
         # identical trace priced with and without NUMA awareness
         aware = FrameworkModel(
-            name="a", scheduler="cilk", default_partitions=48, numa_partitions=1,
+            name="a", scheduler="cilk", default_partitions=48,
             numa_aware=True, locality_optimized=True,
         )
         unaware = FrameworkModel(
-            name="u", scheduler="cilk", default_partitions=48, numa_partitions=1,
+            name="u", scheduler="cilk", default_partitions=48,
             numa_aware=False, locality_optimized=True,
         )
         assert (
-            unaware.price(pr_trace, social, locality=(0.3, 0.1)).seconds
-            > aware.price(pr_trace, social, locality=(0.3, 0.1)).seconds
+            unaware.price(pr_trace, (0.3, 0.1)).seconds
+            > aware.price(pr_trace, (0.3, 0.1)).seconds
         )
 
     def test_static_more_sensitive_than_dynamic(self, social):
@@ -87,32 +95,33 @@ class TestPricing:
         trace = pagerank(social, num_iterations=2, num_partitions=384).trace
         static = FrameworkModel(
             name="s", scheduler="static-hier", default_partitions=384,
-            numa_partitions=4, numa_aware=True, locality_optimized=True,
+            numa_aware=True, locality_optimized=True,
         )
         dynamic = FrameworkModel(
             name="d", scheduler="numa-hier", default_partitions=384,
-            numa_partitions=4, numa_aware=True, locality_optimized=True,
+            numa_aware=True, locality_optimized=True,
         )
         loc = (0.2, 0.05)
         assert (
-            static.price(trace, social, locality=loc).seconds
-            >= dynamic.price(trace, social, locality=loc).seconds
+            static.price(trace, loc).seconds
+            >= dynamic.price(trace, loc).seconds
         )
 
-    def test_measure_layout_locality_bounds(self, social):
-        src_miss, dst_miss = measure_layout_locality(social)
-        assert 0.0 <= src_miss <= 1.0
-        assert 0.0 <= dst_miss <= 1.0
+    def test_locality_bounds_every_edge_order(self, social):
+        for edge_order in ("csc", "csr", "hilbert"):
+            src_miss, dst_miss = measure_locality(social, edge_order)
+            assert 0.0 <= src_miss <= 1.0, edge_order
+            assert 0.0 <= dst_miss <= 1.0, edge_order
 
-    def test_vertexmap_records_priced(self, social):
+    def test_vertexmap_records_priced(self, social, loc):
         trace = pagerank(social, num_iterations=1, num_partitions=48).trace
         kinds = [r.kind for r in trace.records]
         assert "vertexmap" in kinds
-        est = POLYMER.price(trace, social)
+        est = POLYMER.price(trace, loc)
         vm_idx = kinds.index("vertexmap")
         assert est.per_iteration[vm_idx] > 0
 
-    def test_sparse_algorithm_priced(self, social):
+    def test_sparse_algorithm_priced(self, social, loc):
         trace = bfs(social, source=0, num_partitions=48).trace
-        est = LIGRA.price(trace, social)
+        est = LIGRA.price(trace, loc)
         assert est.seconds > 0

@@ -7,7 +7,6 @@ from repro.errors import CacheError
 from repro.graph import generators as gen
 from repro.ordering import get_ordering
 from repro.partition.algorithm1 import partition_by_destination
-from repro.partition.partitioned import PartitionedGraph
 from repro.edgeorder.orders import order_edges
 from repro.store import serialization as ser
 from repro.store.cache import (
@@ -108,14 +107,6 @@ class TestBundleRoundTrips:
         assert out.coo.num_vertices == result.coo.num_vertices
         assert out.coo.order_name == "hilbert"
         assert out.seconds == pytest.approx(result.seconds)
-
-    def test_partitioned_graph_save_load_npz(self, tmp_path, small_grid):
-        pg = partition_by_destination(small_grid, 4)
-        path = tmp_path / "pg.npz"
-        pg.save_npz(path)
-        out = PartitionedGraph.load_npz(path)
-        assert np.array_equal(out.boundaries, pg.boundaries)
-        assert np.array_equal(out.graph.csr.adj, pg.graph.csr.adj)
 
 
 class TestCacheBehaviour:
