@@ -171,6 +171,14 @@ class FrameworkModel:
         ``locality`` is the layout's (src, dst) miss-fraction pair, as
         :func:`repro.experiments.runner.measure_locality` measures it for
         the edge order this framework traverses.
+
+        The whole trace is priced as one array program: a ``(U x P)``
+        cost matrix with one row per *distinct* record object and one
+        column per accounting chunk, one scheduler call over it, and an
+        index gather back to the per-step seconds.  The vectorized engine
+        appends the *same* immutable record object for every dense step
+        of an iterative algorithm (and replayed traces re-share stored
+        duplicates), so PR prices one dense pull row, not ten.
         """
         src_miss = min(1.0, MISS_FLOOR + MISS_SCALE * locality[0])
         dst_miss = min(1.0, MISS_FLOOR + MISS_SCALE * locality[1])
@@ -179,39 +187,33 @@ class FrameworkModel:
             # model as a higher effective miss fraction on the same layout.
             src_miss = min(1.0, src_miss * 1.25 + 0.05)
             dst_miss = min(1.0, dst_miss * 1.25 + 0.05)
-        topo = self.topology
         p = trace.num_partitions
-        homes = topo.partition_home_sockets(p)
+        homes = self.topology.partition_home_sockets(p)
 
-        per_iter = np.zeros(len(trace.records), dtype=np.float64)
-        # Replayed records price identically: the vectorized engine appends
-        # the *same* immutable record object for every dense step of an
-        # iterative algorithm (PR prices one dense pull, not ten), so memo
-        # on object identity.  Reference traces hold distinct objects and
-        # take the memo-miss path unchanged.  The memo is per price() call,
-        # which also keeps ids stable (records are alive in the trace).
-        memo: dict[int, float] = {}
-        for i, rec in enumerate(trace.records):
-            cached = memo.get(id(rec))
-            if cached is not None:
-                per_iter[i] = cached
-                continue
-            if rec.kind == "vertexmap":
-                per_iter[i] = self._price_vertexmap(rec, homes)
-            else:
-                # Prefer the record's own measured stream locality (it sees
-                # frontier-dependent effects a layout-level measurement
-                # cannot); dense pull steps in locality-optimized systems
-                # traverse the tuned COO order instead, so the layout-level
-                # pair still applies there.
-                rec_src, rec_dst = src_miss, dst_miss
-                if rec.src_miss >= 0.0 and not (
-                    self.locality_optimized and rec.density.value == "dense"
-                ):
-                    rec_src = min(1.0, MISS_FLOOR + MISS_SCALE * rec.src_miss)
-                    rec_dst = min(1.0, MISS_FLOOR + MISS_SCALE * rec.dst_miss)
-                per_iter[i] = self._price_edgemap(rec, rec_src, rec_dst, homes)
-            memo[id(rec)] = per_iter[i]
+        rows: dict[int, int] = {}
+        step_row = np.array(
+            [rows.setdefault(id(rec), len(rows)) for rec in trace.records], dtype=np.intp
+        )
+        distinct = list({id(rec): rec for rec in trace.records}.values())
+        kinds = np.array([rec.kind == "vertexmap" for rec in distinct], dtype=bool)
+        vertex_rows = np.flatnonzero(kinds)
+        edge_rows = np.flatnonzero(~kinds)
+
+        costs = np.empty((len(distinct), p), dtype=np.float64)
+        idle = np.zeros(len(distinct), dtype=bool)
+        if edge_rows.size:
+            costs[edge_rows] = self._edgemap_costs(
+                [distinct[r] for r in edge_rows], src_miss, dst_miss
+            )
+        if vertex_rows.size:
+            costs[vertex_rows], idle[vertex_rows] = self._vertexmap_costs(
+                [distinct[r] for r in vertex_rows]
+            )
+        seconds = self._schedule(costs, homes)
+        # An empty NUMA-aware vertexmap step costs nothing at all — not
+        # even the Cilk steal overhead its zero-cost chunks would charge.
+        seconds[idle] = 0.0
+        per_iter = seconds[step_row]
         return RuntimeEstimate(
             seconds=float(per_iter.sum()),
             per_iteration=per_iter,
@@ -223,59 +225,63 @@ class FrameworkModel:
         )
 
     # ------------------------------------------------------------------
-    def partition_costs(
-        self, rec, src_miss: float, dst_miss: float, homes: np.ndarray
-    ) -> np.ndarray:
-        """Per-partition seconds for one edgemap record, before the
-        scheduler turns them into the iteration's makespan."""
-        remote = self._remote_fraction(homes)
+    def _edgemap_costs(self, records, src_miss: float, dst_miss: float) -> np.ndarray:
+        """``(records x P)`` seconds of edgemap steps, before the scheduler
+        turns each row into the step's makespan."""
+        # Prefer a record's own measured stream locality (it sees
+        # frontier-dependent effects a layout-level measurement cannot);
+        # dense pull steps in locality-optimized systems traverse the tuned
+        # COO order instead, so the layout-level pair still applies there.
+        own = np.array([
+            rec.src_miss >= 0.0
+            and not (self.locality_optimized and rec.density.value == "dense")
+            for rec in records
+        ], dtype=bool)
+        rec_src = np.array([rec.src_miss for rec in records], dtype=np.float64)
+        rec_dst = np.array([rec.dst_miss for rec in records], dtype=np.float64)
+        rec_src = np.where(own, np.minimum(1.0, MISS_FLOOR + MISS_SCALE * rec_src), src_miss)
+        rec_dst = np.where(own, np.minimum(1.0, MISS_FLOOR + MISS_SCALE * rec_dst), dst_miss)
+        edges = np.array([rec.part_edges for rec in records], dtype=np.float64)
         work = PartitionWork(
-            edges=rec.part_edges.astype(np.float64),
-            unique_dsts=rec.part_dsts.astype(np.float64),
-            unique_srcs=rec.part_srcs.astype(np.float64),
-            vertices=np.zeros(rec.part_edges.size, dtype=np.float64),
-            src_miss_fraction=src_miss,
-            dst_miss_fraction=dst_miss,
+            edges=edges,
+            unique_dsts=np.array([rec.part_dsts for rec in records], dtype=np.float64),
+            unique_srcs=np.array([rec.part_srcs for rec in records], dtype=np.float64),
+            vertices=np.zeros_like(edges),
+            src_miss_fraction=rec_src[:, None],
+            dst_miss_fraction=rec_dst[:, None],
         )
+        # NUMA-aware: a partition is processed by its home socket, so
+        # misses go remote only via sources living in other partitions;
+        # charge a small constant.
+        remote = 0.15 if self.numa_aware else INTERLEAVED_REMOTE_FRACTION
         return self.cost_model.partition_seconds(work, remote_fraction=remote)
 
-    def _remote_fraction(self, homes: np.ndarray) -> np.ndarray:
-        if self.numa_aware:
-            # Partition processed by its home socket: remote only via
-            # sources living in other partitions; charge a small constant.
-            return np.full(homes.size, 0.15)
-        return np.full(homes.size, INTERLEAVED_REMOTE_FRACTION)
-
-    def _price_edgemap(
-        self, rec, src_miss: float, dst_miss: float, homes: np.ndarray
-    ) -> float:
-        costs = self.partition_costs(rec, src_miss, dst_miss, homes)
-        return self._schedule(costs, homes)
-
-    def _price_vertexmap(self, rec, homes: np.ndarray) -> float:
+    def _vertexmap_costs(self, records) -> tuple[np.ndarray, np.ndarray]:
+        """``(records x P)`` seconds of vertexmap steps, plus a mask of the
+        empty steps a NUMA-aware system prices at zero."""
         # Vertexmap iterations are spread over all threads regardless of
         # partition ownership; non-NUMA-local chunks pay remote bandwidth
         # (the Table V vertexmap effect).  Chunk = partition here.
+        counts = np.array([rec.part_vertices for rec in records], dtype=np.float64)
+        idle = np.zeros(len(records), dtype=bool)
         if self.numa_aware:
             # A chunk is NUMA-local iff the thread's socket == chunk home;
             # with equal vertex counts per chunk (VEBO) this is near 1.
-            counts = rec.part_vertices.astype(np.float64)
-            total = counts.sum()
-            if total == 0:
-                return 0.0
+            total = counts.sum(axis=1)
+            idle = total == 0
             # Imbalance in chunk sizes forces threads across sockets:
             # remote share grows with the deviation from the mean chunk.
-            mean = total / counts.size
-            deviation = np.abs(counts - mean).sum() / (2.0 * total)
-            remote = 0.05 + 0.9 * deviation
+            mean = total / counts.shape[1]
+            deviation = np.abs(counts - mean[:, None]).sum(axis=1) / np.where(
+                idle, 1.0, 2.0 * total
+            )
+            remote = (0.05 + 0.9 * deviation)[:, None]
         else:
             remote = INTERLEAVED_REMOTE_FRACTION
-        costs = self.cost_model.vertexmap_seconds(
-            rec.part_vertices.astype(np.float64), remote_fraction=remote
-        )
-        return self._schedule(costs, homes)
+        return self.cost_model.vertexmap_seconds(counts, remote_fraction=remote), idle
 
-    def _schedule(self, costs: np.ndarray, homes: np.ndarray) -> float:
+    def _schedule(self, costs: np.ndarray, homes: np.ndarray) -> np.ndarray:
+        """Per-row loop makespan of a ``(records x P)`` cost matrix."""
         topo = self.topology
         if self.scheduler == "static":
             return static_block_schedule(costs, topo.num_threads).makespan

@@ -25,6 +25,7 @@ low-degree destinations run slower.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,6 +81,13 @@ class CostModel:
     remote_factor: float = 1.8    # NUMA remote access slowdown on misses
 
     def __post_init__(self) -> None:
+        # NaN slips through every ordered comparison below, and an
+        # infinite coefficient prices every cell at inf or NaN.
+        for name in (
+            "t_edge", "t_dst", "t_src", "t_vertex", "miss_penalty", "remote_factor"
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise SimulationError(f"{name} must be finite")
         for name in ("t_edge", "t_dst", "t_src", "t_vertex"):
             if getattr(self, name) < 0:
                 raise SimulationError(f"{name} must be non-negative")

@@ -38,6 +38,7 @@ file once and have every later invocation register it automatically.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -92,6 +93,10 @@ class MachineModel:
             raise SimulationError("machine model needs a non-empty name")
         if self.num_sockets <= 0 or self.threads_per_socket <= 0:
             raise SimulationError("machine topology dimensions must be positive")
+        # NaN slips through every ordered comparison below.
+        for knob in ("miss_penalty", "remote_factor", "time_scale"):
+            if not math.isfinite(getattr(self, knob)):
+                raise SimulationError(f"{knob} must be finite")
         if self.miss_penalty < 0:
             raise SimulationError("miss_penalty must be non-negative")
         if self.remote_factor < 1.0:

@@ -34,8 +34,8 @@ iterative algorithm) are stored **once**: the bundle holds a table of
 unique records (deduplicated by
 :func:`~repro.frameworks.trace.record_fingerprint`, i.e. bitwise) plus a
 step -> record index, and unpacking re-shares the objects — so a replayed
-trace prices as fast as a live vectorized trace (pricing memoizes on
-record identity).  Scalars are stored bit-exactly: the ``-1.0``
+trace prices as fast as a live vectorized trace (pricing builds one
+cost-matrix row per distinct record object).  Scalars are stored bit-exactly: the ``-1.0``
 "not measured" miss sentinels, NaNs and signed zeros all survive, and
 :class:`~repro.frameworks.frontier.DensityClass` members travel as the
 stable small-int codes of

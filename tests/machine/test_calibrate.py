@@ -268,6 +268,17 @@ def test_load_rejects_malformed_files(tmp_path):
         load_machine(tmp_path / "missing.json")
 
 
+@pytest.mark.parametrize("knob", ["miss_penalty", "remote_factor", "time_scale"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_load_rejects_non_finite_knobs(tmp_path, knob, literal):
+    # Python's json parser accepts these literals, and NaN passes every
+    # ordered range check; the loader must refuse them all the same.
+    path = tmp_path / "nanbox.json"
+    path.write_text('{"name": "nanbox", "%s": %s}' % (knob, literal))
+    with pytest.raises(CalibrationError, match="finite"):
+        load_machine(path)
+
+
 def test_load_user_machines_registers_and_guards(tmp_path):
     mdir = user_machines_dir(tmp_path)
     model = MachineModel(name="usertest-calib", time_scale=0.9)

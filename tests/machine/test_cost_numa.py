@@ -113,6 +113,17 @@ class TestCostModel:
         with pytest.raises(SimulationError):
             CostModel(remote_factor=0.5)
 
+    @pytest.mark.parametrize("knob", [
+        "t_edge", "t_dst", "t_src", "t_vertex", "miss_penalty", "remote_factor",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_coefficients(self, knob, value):
+        # NaN passes every ordered range check; it must still be refused.
+        with pytest.raises(SimulationError, match="finite"):
+            CostModel(**{knob: value})
+        with pytest.raises(SimulationError):
+            CostModel().scaled(value)
+
     def test_from_stats(self, small_powerlaw):
         from repro.partition import chunk_boundaries, compute_stats
 

@@ -47,6 +47,10 @@ class TestValidation:
         {"name": "x", "miss_penalty": -0.1},
         {"name": "x", "remote_factor": 0.9},
         {"name": "x", "time_scale": 0.0},
+        {"name": "x", "miss_penalty": float("nan")},
+        {"name": "x", "remote_factor": float("nan")},
+        {"name": "x", "time_scale": float("nan")},
+        {"name": "x", "time_scale": float("inf")},
     ])
     def test_bad_parameters_raise(self, kwargs):
         with pytest.raises(SimulationError):

@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from repro import store
-from repro.experiments.runner import prepare, run
+from repro.algorithms import ALGORITHMS
+from repro.experiments.runner import execute, prepare, price, run
 from repro.ordering import get_ordering
 from repro.ordering.vebo import counting_sort_by_degree
 from repro.partition.algorithm1 import chunk_boundaries
@@ -121,6 +122,18 @@ GOLDEN_PRICING = {
 }
 
 
+#: canonical-JSON digests of every priced cell — 8 algorithms x 3
+#: frameworks x 2 orderings on one graph per built-in machine, captured
+#: from the per-record heap schedulers before pricing became one batched
+#: array program.  laptop pins the single-socket / grain-6 Cilk path,
+#: big-numa the 8 x 16 topology.
+GOLDEN_MACHINE_PRICING = {
+    ("paper-xeon", "twitter"): "52b98978be348d43",
+    ("laptop", "usaroad"): "9a794770dc1229e8",
+    ("big-numa", "friendster"): "7ecccc8c66671016",
+}
+
+
 def digest(array: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
 
@@ -179,3 +192,24 @@ def test_default_machine_pricing_unchanged(graphs):
                 payload, sort_keys=True, separators=(",", ":")
             ).encode()).hexdigest()[:16]
             assert got == GOLDEN_PRICING[(framework, ordering)]
+
+
+def _payload_digest(payloads) -> str:
+    return hashlib.sha256(json.dumps(
+        payloads, sort_keys=True, separators=(",", ":")
+    ).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("machine, graph_name", sorted(GOLDEN_MACHINE_PRICING))
+def test_machine_pricing_unchanged(graphs, machine, graph_name):
+    g = graphs[graph_name]
+    payloads = []
+    for ordering in ("original", "vebo"):
+        prep = prepare(g, ordering, 384)
+        for algorithm in sorted(ALGORITHMS):
+            execution = execute(g, algorithm, prepared=prep)
+            for framework in ("ligra", "polymer", "graphgrind"):
+                payload = price(execution, g, framework, prep, machine=machine).to_dict()
+                payload.pop("ordering_seconds")  # wall clock, never pinned
+                payloads.append(payload)
+    assert _payload_digest(payloads) == GOLDEN_MACHINE_PRICING[(machine, graph_name)]
